@@ -44,3 +44,9 @@ target_link_libraries(micro_kernels PRIVATE sds_core sds_dissem sds_spec
 target_include_directories(micro_kernels PRIVATE ${CMAKE_SOURCE_DIR})
 set_target_properties(micro_kernels PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+
+# Bench command lines fail loudly: ParseBenchArgs rejects an unknown flag
+# before any workload is built, so this costs milliseconds.
+add_test(NAME bench_rejects_unknown_flag
+         COMMAND exp_maxsize --smoke --no-such-flag)
+set_tests_properties(bench_rejects_unknown_flag PROPERTIES WILL_FAIL TRUE)

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -43,7 +44,9 @@ inline void PrintHeader(const char* experiment, const char* paper_artifact) {
 /// and end of run, a violation dumps the flight recorder and fails the
 /// bench. `--flightrec-out PATH` overrides the dump path (implies
 /// `--audit`). `--stream` generates the workload trace on the fly instead
-/// of materialising it. Unknown flags are ignored.
+/// of materialising it. `--help` prints the flag list and exits 0; an
+/// unknown flag or a path flag without its value prints a usage line and
+/// exits 2, before any workload is built.
 struct BenchArgs {
   bool smoke = false;
   bool json = false;
@@ -60,25 +63,56 @@ struct BenchArgs {
 
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
-  const auto path_flag = [&](int* i, const char* flag,
-                             std::string* out) -> bool {
-    if (std::strcmp(argv[*i], flag) != 0 || *i + 1 >= argc) return false;
-    *out = argv[++*i];
-    args.obs = true;
-    return true;
+  const struct {
+    const char* name;
+    bool* out;
+  } switches[] = {{"--smoke", &args.smoke},
+                  {"--json", &args.json},
+                  {"--obs", &args.obs},
+                  {"--audit", &args.audit},
+                  {"--stream", &args.stream}};
+  const struct {
+    const char* name;
+    std::string* out;
+  } paths[] = {{"--trace-out", &args.trace_out},
+               {"--chrome-trace-out", &args.chrome_trace_out},
+               {"--timeseries-out", &args.timeseries_out},
+               {"--journeys-out", &args.journeys_out},
+               {"--prom-out", &args.prom_out},
+               {"--flightrec-out", &args.flightrec_out}};
+  const auto usage = [&](std::FILE* out) {
+    std::fprintf(out, "usage: %s", argv[0]);
+    for (const auto& flag : switches) std::fprintf(out, " [%s]", flag.name);
+    for (const auto& flag : paths) std::fprintf(out, " [%s PATH]", flag.name);
+    std::fprintf(out, " [--help]\n");
+  };
+  const auto reject = [&](const char* what, const char* flag) {
+    std::fprintf(stderr, "error: %s: %s\n", what, flag);
+    usage(stderr);
+    std::exit(2);
   };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) args.smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) args.json = true;
-    if (std::strcmp(argv[i], "--obs") == 0) args.obs = true;
-    if (std::strcmp(argv[i], "--audit") == 0) args.audit = true;
-    if (std::strcmp(argv[i], "--stream") == 0) args.stream = true;
-    path_flag(&i, "--trace-out", &args.trace_out) ||
-        path_flag(&i, "--chrome-trace-out", &args.chrome_trace_out) ||
-        path_flag(&i, "--timeseries-out", &args.timeseries_out) ||
-        path_flag(&i, "--journeys-out", &args.journeys_out) ||
-        path_flag(&i, "--prom-out", &args.prom_out) ||
-        path_flag(&i, "--flightrec-out", &args.flightrec_out);
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--help") == 0) {
+      usage(stdout);
+      std::exit(0);
+    }
+    bool known = false;
+    for (const auto& flag : switches) {
+      if (std::strcmp(arg, flag.name) != 0) continue;
+      *flag.out = true;
+      known = true;
+    }
+    for (const auto& flag : paths) {
+      if (std::strcmp(arg, flag.name) != 0) continue;
+      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        reject("missing PATH after", arg);
+      }
+      *flag.out = argv[++i];
+      args.obs = true;
+      known = true;
+    }
+    if (!known) reject("unknown flag", arg);
   }
   if (!args.flightrec_out.empty()) args.audit = true;
   if (args.audit) args.obs = true;

@@ -307,8 +307,7 @@ Table Fig4Result::ToTable() const {
 // ---------------------------------------------------------------------------
 
 Fig5Result RunFig5(const Workload& workload, const std::vector<double>& tps,
-                   const SweepOptions& options,
-                   spec::ClosureMode closure_mode) {
+                   const SweepOptions& options) {
   std::vector<double> grid = tps;
   if (grid.empty()) {
     grid = {1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.15, 0.1, 0.05};
@@ -335,7 +334,6 @@ Fig5Result RunFig5(const Workload& workload, const std::vector<double>& tps,
         [&](size_t index, Rng&) {
           spec::SpeculationConfig config = base;
           config.policy.threshold = grid[index];
-          config.closure_mode = closure_mode;
           config.closure.min_probability = std::min(0.02, grid[index]);
           const auto replay = workload.NewCleanCursor();
           const auto deps = workload.NewCleanCursor();
@@ -364,7 +362,6 @@ Fig5Result RunFig5(const Workload& workload, const std::vector<double>& tps,
       [&](size_t index, Rng&) {
         spec::SpeculationConfig config = base;
         config.policy.threshold = grid[index];
-        config.closure_mode = closure_mode;
         config.closure.min_probability = std::min(0.02, grid[index]);
         SpecSweepPoint point;
         point.tp = grid[index];
@@ -874,12 +871,10 @@ Table Fig9Result::ToTable() const {
 // ---------------------------------------------------------------------------
 
 ExpUpdateCycleResult RunExpUpdateCycle(const Workload& workload, double tp,
-                                       const SweepOptions& options,
-                                       spec::ClosureMode closure_mode) {
+                                       const SweepOptions& options) {
   spec::SpeculationSimulator sim(&workload.corpus(), &workload.clean());
   spec::SpeculationConfig base = BaselineSpecConfig();
   base.policy.threshold = tp;
-  base.closure_mode = closure_mode;
   sim.Prewarm(base.dependency);
 
   ExpUpdateCycleResult result;

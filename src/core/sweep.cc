@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/audit.h"
@@ -29,9 +32,13 @@ uint32_t ResolveSweepWorkers(uint32_t requested) {
   if (const char* env = std::getenv("SDS_SWEEP_WORKERS")) {
     char* end = nullptr;
     const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value > 0) {
-      return static_cast<uint32_t>(value);
+    if (end == env || *end != '\0' || value <= 0) {
+      throw std::invalid_argument(std::string("SDS_SWEEP_WORKERS=\"") + env +
+                                  "\" is not a positive integer");
     }
+    // Out-of-range counts clamp; RunSweep clamps again to its points.
+    return static_cast<uint32_t>(
+        std::min<long>(value, std::numeric_limits<uint32_t>::max()));
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

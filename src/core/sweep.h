@@ -14,7 +14,7 @@ namespace sds::core {
 /// \brief Options controlling a parallel parameter sweep.
 struct SweepOptions {
   /// Worker threads. 0 = auto: the SDS_SWEEP_WORKERS environment variable
-  /// if set to a positive integer, otherwise
+  /// if set (it must be a positive integer), otherwise
   /// std::thread::hardware_concurrency(). The pool never exceeds the
   /// number of points.
   uint32_t workers = 0;
@@ -24,7 +24,9 @@ struct SweepOptions {
 };
 
 /// Resolves the effective worker count for `requested` (0 = auto, see
-/// SweepOptions::workers).
+/// SweepOptions::workers). Throws std::invalid_argument naming the
+/// variable and its value when SDS_SWEEP_WORKERS is set to anything but a
+/// positive integer.
 uint32_t ResolveSweepWorkers(uint32_t requested);
 
 /// \brief Deterministic-seeding contract of the sweep engine.

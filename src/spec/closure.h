@@ -94,6 +94,8 @@ class ClosureCache {
   void Reset(const SparseProbMatrix* p);
 
   size_t CachedRows() const { return cached_; }
+  /// Rows computed since construction, across every Reset().
+  uint64_t RowsComputed() const { return rows_computed_; }
 
  private:
   const SparseProbMatrix* p_;
@@ -104,110 +106,7 @@ class ClosureCache {
   /// further Row() calls.
   std::vector<std::unique_ptr<std::vector<SparseProbMatrix::Entry>>> rows_;
   size_t cached_ = 0;
-};
-
-/// \brief How the speculation simulator maintains P and P* across update
-/// cycles (§3.4: P drifts slowly, so a from-scratch rebuild every cycle is
-/// almost entirely redundant work).
-enum class ClosureMode : uint8_t {
-  /// Rebuild P from the whole window and drop every cached closure row at
-  /// each UpdateCycle (the original behavior).
-  kBatch = 0,
-  /// Semi-naive maintenance: rebuild only the P rows whose windowed counts
-  /// changed, and invalidate only the cached closure rows whose dirty-row
-  /// frontier reaches a changed row. Bit-identical to kBatch by
-  /// construction (pinned by tests/spec/incremental_equivalence_test.cc).
-  kIncremental = 1,
-};
-
-const char* ClosureModeToString(ClosureMode mode);
-
-/// \brief Incrementally maintained P plus lazily computed, selectively
-/// invalidated closure rows — the engine behind ClosureMode::kIncremental.
-///
-/// Rebuild() installs a freshly built P (batch path, and the first build
-/// of the incremental path). ApplyDelta() drains the WindowedCounts dirty
-/// set, rebuilds exactly those P rows, and drops only the cached closure
-/// rows that could see a changed row: a closure row of source s explores
-/// rows at most max_depth - 1 edges from s, so s is affected only if a
-/// changed row is reachable from s within max_depth hops in the old or new
-/// P. That set is found by a depth-limited reverse BFS from the changed
-/// rows over the reverse column index of new P, augmented with the changed
-/// rows' old out-edges (old and new P differ nowhere else). Everything a
-/// consumer can observe — PRow, ClosureRow — is bit-identical to a batch
-/// rebuild; only the amount of recomputation differs.
-class DeltaClosure {
- public:
-  struct Stats {
-    uint64_t full_rebuilds = 0;
-    uint64_t delta_cycles = 0;
-    /// P rows recomputed by ApplyDelta, and how many actually changed.
-    uint64_t rows_rebuilt = 0;
-    uint64_t rows_changed = 0;
-    /// Cached closure rows invalidated / retained across delta cycles.
-    uint64_t closure_rows_dropped = 0;
-    uint64_t closure_rows_kept = 0;
-    /// Closure rows computed lazily by ClosureRow().
-    uint64_t closure_rows_computed = 0;
-  };
-
-  explicit DeltaClosure(const ClosureConfig& config) : config_(config) {}
-
-  /// Replaces P wholesale and drops every cached closure row.
-  void Rebuild(SparseProbMatrix p);
-
-  /// Semi-naive update from the counts' dirty rows (see class comment).
-  /// Requires a prior Rebuild() and counts->row_tracking().
-  void ApplyDelta(WindowedCounts* counts, const DependencyConfig& dependency);
-
-  /// Row of P (valid until the next Rebuild/ApplyDelta).
-  SparseProbMatrix::RowView PRow(trace::DocumentId doc) const {
-    return p_.Row(doc);
-  }
-  /// Closure row of `doc`, computed on first use and cached until
-  /// invalidated; sorted by descending probability.
-  SparseProbMatrix::RowView ClosureRow(trace::DocumentId doc);
-
-  const SparseProbMatrix& matrix() const { return p_; }
-  size_t CachedRows() const { return cached_; }
-  const Stats& stats() const { return stats_; }
-  bool ready() const { return ready_; }
-
- private:
-  void DropAllRows();
-
-  ClosureConfig config_;
-  SparseProbMatrix p_;
-  ClosureScratch scratch_;
-  bool ready_ = false;
-  /// Cached closure rows (see ClosureCache for the stability contract).
-  std::vector<std::unique_ptr<std::vector<SparseProbMatrix::Entry>>> rows_;
-  size_t cached_ = 0;
-  Stats stats_;
-
-  void RebuildReverseIndex();
-
-  // Persistent reverse column index: rev_adj_[j] lists rows i with an
-  // edge i -> j in P at some point since the last index (re)build. It is
-  // append-only — edges a changed row *loses* are kept — so the BFS sees
-  // a superset of old ∪ new adjacency, which can only over-invalidate
-  // (conservative, still bit-identical). fwd_cols_[i] (sorted) dedups the
-  // appends; when the accumulated slack exceeds the live entry count the
-  // index is rebuilt from the current P. Built lazily on the first
-  // ApplyDelta, so pure-batch users never pay for it.
-  bool index_ready_ = false;
-  size_t index_extra_ = 0;
-  std::vector<std::vector<trace::DocumentId>> rev_adj_;
-  std::vector<std::vector<trace::DocumentId>> fwd_cols_;
-
-  // ApplyDelta scratch, reused across cycles.
-  std::vector<std::vector<SparseProbMatrix::Entry>> new_rows_;
-  std::vector<trace::DocumentId> changed_;
-  std::vector<uint32_t> visit_stamp_;
-  uint32_t visit_epoch_ = 0;
-  std::vector<trace::DocumentId> visited_;
-  std::vector<trace::DocumentId> frontier_;
-  std::vector<trace::DocumentId> next_frontier_;
+  uint64_t rows_computed_ = 0;
 };
 
 /// \brief Computes one closure row (exposed for tests). The overload with

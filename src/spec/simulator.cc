@@ -148,7 +148,7 @@ SpeculationReplay::SpeculationReplay(const trace::Corpus* corpus,
       server_events_(server_events),
       counts_(corpus->size()),
       decayed_(corpus->size(), config.decay_per_day),
-      model_(config.closure),
+      closure_(&model_, config.closure),
       retry_rng_(config.retry_jitter_seed),
       tracker_(config.protection.track_load ? num_servers : 0,
                config.protection.load),
@@ -170,13 +170,6 @@ SpeculationReplay::SpeculationReplay(const trace::Corpus* corpus,
 
   use_decay_ =
       config.estimator == SpeculationConfig::EstimatorKind::kExponentialDecay;
-  // P and the lazily cached P* rows, maintained batch (full rebuild per
-  // update cycle) or incrementally (delta rebuild of drifted rows only).
-  // The decay estimator touches every counter daily, so it always
-  // rebuilds in full.
-  incremental_ = needs_model_ && !use_decay_ &&
-                 config.closure_mode == ClosureMode::kIncremental;
-  if (incremental_) counts_.EnableRowTracking();
 
   caches_.reserve(num_clients);
   for (uint32_t c = 0; c < num_clients; ++c) {
@@ -232,17 +225,10 @@ void SpeculationReplay::RollDay(uint32_t day) {
       }
       if (current_day_ % config.update_cycle_days == 0 ||
           !model_ready_) {
-        if (use_decay_) {
-          model_.Rebuild(decayed_.BuildMatrix(config.dependency));
-        } else if (incremental_ && model_ready_) {
-          model_.ApplyDelta(&counts_, config.dependency);
-        } else {
-          // First build (or batch mode): full rebuild. Draining the
-          // dirty set here makes the next ApplyDelta start from a
-          // clean slate that matches the matrix just built.
-          if (incremental_) counts_.DrainDirtyRows();
-          model_.Rebuild(counts_.BuildMatrix(config.dependency));
-        }
+        model_ = use_decay_ ? decayed_.BuildMatrix(config.dependency)
+                            : counts_.BuildMatrix(config.dependency);
+        closure_.Reset(&model_);
+        ++full_rebuilds_;
         model_ready_ = true;
       }
     }
@@ -390,7 +376,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
       (server_speculates_ || server_hints_)) {
     ++totals_.brownout_responses;
     const SparseProbMatrix::RowView row =
-        config.use_closure ? model_.ClosureRow(doc) : model_.PRow(doc);
+        config.use_closure ? closure_.Row(doc) : model_.Row(doc);
     const size_t suppressed =
         SelectCandidates(row, *corpus_,
                          server_speculates_ ? push_policy_ : config.policy)
@@ -408,7 +394,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
 
   if (server_speculates_ && model_ready_ && !degraded) {
     const SparseProbMatrix::RowView row =
-        config.use_closure ? model_.ClosureRow(doc) : model_.PRow(doc);
+        config.use_closure ? closure_.Row(doc) : model_.Row(doc);
     for (const auto& cand :
          SelectCandidates(row, *corpus_, push_policy_)) {
       const uint64_t cand_size = corpus_->doc(cand.doc).size_bytes;
@@ -442,7 +428,7 @@ void SpeculationReplay::OnRequest(size_t i, const Record& rec) {
     // The hint list itself is negligible; the client fetches hinted
     // documents it lacks as background prefetches.
     const SparseProbMatrix::RowView row =
-        config.use_closure ? model_.ClosureRow(doc) : model_.PRow(doc);
+        config.use_closure ? closure_.Row(doc) : model_.Row(doc);
     for (const auto& cand :
          SelectCandidates(row, *corpus_, config.policy)) {
       if (cache.Contains(cand.doc)) continue;
@@ -589,21 +575,10 @@ RunTotals SpeculationReplay::Finish() {
                static_cast<double>(totals_.shed_speculative_docs));
     obs::Count("spec.breaker_fast_fails",
                static_cast<double>(totals_.breaker_fast_fails));
-    const DeltaClosure::Stats& cs = model_.stats();
     obs::Count("spec.closure.full_rebuilds",
-               static_cast<double>(cs.full_rebuilds));
-    obs::Count("spec.closure.delta_cycles",
-               static_cast<double>(cs.delta_cycles));
-    obs::Count("spec.closure.rows_rebuilt",
-               static_cast<double>(cs.rows_rebuilt));
-    obs::Count("spec.closure.rows_changed",
-               static_cast<double>(cs.rows_changed));
-    obs::Count("spec.closure.rows_dropped",
-               static_cast<double>(cs.closure_rows_dropped));
-    obs::Count("spec.closure.rows_kept",
-               static_cast<double>(cs.closure_rows_kept));
+               static_cast<double>(full_rebuilds_));
     obs::Count("spec.closure.rows_computed",
-               static_cast<double>(cs.closure_rows_computed));
+               static_cast<double>(closure_.RowsComputed()));
     run_span_.AddBytes(totals_.bytes_sent);
   }
   return totals_;

@@ -72,11 +72,6 @@ struct SpeculationConfig {
   ClosureConfig closure;
   /// If false, the policy consults the raw P instead of the closure P*.
   bool use_closure = true;
-  /// How P and the cached P* rows are maintained across update cycles.
-  /// kIncremental is observably bit-identical to kBatch (pinned by
-  /// tests/spec/incremental_equivalence_test.cc); it falls back to full
-  /// rebuilds under kExponentialDecay, where every counter changes daily.
-  ClosureMode closure_mode = ClosureMode::kBatch;
   /// How past observations are weighted when estimating P.
   enum class EstimatorKind : uint8_t {
     /// The paper's baseline: a sliding window of the last D' days.
@@ -89,7 +84,9 @@ struct SpeculationConfig {
   double decay_per_day = 0.95;
   /// D': days of history used to estimate P and P* (sliding window only).
   uint32_t history_days = 60;
-  /// D: the relations are re-estimated every this many days.
+  /// D: the relations are re-estimated every this many days. Each
+  /// re-estimation rebuilds P from the whole history and drops every
+  /// cached closure row; rows are recomputed lazily when requested.
   uint32_t update_cycle_days = 1;
 
   /// Speculation policy (T_p, MaxSize, ...).
@@ -198,6 +195,9 @@ class SpeculationReplay {
                     uint32_t num_servers, const SpeculationConfig& config,
                     DayCountsSource deltas,
                     std::vector<ServerEvent>* server_events);
+  /// Not copyable or movable: closure_ points at model_.
+  SpeculationReplay(const SpeculationReplay&) = delete;
+  SpeculationReplay& operator=(const SpeculationReplay&) = delete;
 
   /// One replayable (kDocument/kAlias) request, with its corpus size and
   /// day index resolved. `i` is the global ordinal of the request among
@@ -232,7 +232,6 @@ class SpeculationReplay {
   bool client_prefetches_ = false;
   bool needs_model_ = false;
   bool use_decay_ = false;
-  bool incremental_ = false;
   bool faulty_ = false;
   bool track_load_ = false;
   bool breakers_armed_ = false;
@@ -241,7 +240,11 @@ class SpeculationReplay {
 
   WindowedCounts counts_;
   DecayedCounts decayed_;
-  DeltaClosure model_;
+  /// P, rebuilt from the window at every UpdateCycle boundary, and its
+  /// lazily computed closure rows (dropped at each rebuild).
+  SparseProbMatrix model_;
+  ClosureCache closure_;
+  uint64_t full_rebuilds_ = 0;
   bool model_ready_ = false;
   long current_day_ = 0;
 

@@ -77,8 +77,23 @@ TEST(SweepEngineTest, EnvVariableOverridesAutoWorkerCount) {
   EXPECT_EQ(ResolveSweepWorkers(0), 3u);
   // An explicit request always wins over the environment.
   EXPECT_EQ(ResolveSweepWorkers(7), 7u);
-  ASSERT_EQ(setenv("SDS_SWEEP_WORKERS", "garbage", 1), 0);
-  EXPECT_GE(ResolveSweepWorkers(0), 1u);
+  // Anything but a positive integer fails loudly, naming the variable and
+  // the value, instead of silently falling back to the hardware count.
+  for (const char* bad : {"garbage", "0", "3x"}) {
+    ASSERT_EQ(setenv("SDS_SWEEP_WORKERS", bad, 1), 0);
+    try {
+      ResolveSweepWorkers(0);
+      ADD_FAILURE() << "expected a throw for SDS_SWEEP_WORKERS=" << bad;
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("SDS_SWEEP_WORKERS"), std::string::npos);
+      EXPECT_NE(message.find(std::string("\"") + bad + "\""),
+                std::string::npos)
+          << message;
+    }
+    // An explicit request never reads the environment.
+    EXPECT_EQ(ResolveSweepWorkers(7), 7u);
+  }
   unsetenv("SDS_SWEEP_WORKERS");
   const unsigned hw = std::thread::hardware_concurrency();
   EXPECT_EQ(ResolveSweepWorkers(0), hw > 0 ? hw : 1u);
@@ -462,6 +477,13 @@ TEST_F(SweepExperimentsTest, FineTuningSweepsAreIdenticalForAnyWorkerCount) {
   EXPECT_EQ(coop_serial,
             RunExpCooperative(*workload_, {.workers = 4}).ToTable()
                 .ToAlignedString());
+  // The §3.4 (D, D') grid: its D > 1 rows rebuild P only every D days.
+  const std::string update_cycle_serial =
+      RunExpUpdateCycle(*workload_, 0.25, {.workers = 1}).ToTable()
+          .ToAlignedString();
+  EXPECT_EQ(update_cycle_serial,
+            RunExpUpdateCycle(*workload_, 0.25, {.workers = 4}).ToTable()
+                .ToAlignedString());
 }
 
 // ---------------------------------------------------------------------------
@@ -508,52 +530,6 @@ TEST_F(SweepExperimentsTest, GoldenFig6Grid) {
     EXPECT_NEAR(result.points[i].metrics.miss_rate_ratio, expected[i].miss,
                 1e-9);
   }
-}
-
-TEST_F(SweepExperimentsTest, GoldenFig6GridIncrementalClosure) {
-  // ClosureMode::kIncremental must reproduce the batch goldens above to
-  // the bit — same tolerance, same expected values.
-  const Fig5Result result =
-      RunFig5(*workload_, {1.0, 0.5, 0.2}, {.workers = 0},
-              spec::ClosureMode::kIncremental);
-  ASSERT_EQ(result.points.size(), 3u);
-  const struct {
-    double bw, load, time, miss;
-  } expected[] = {
-      {1.0041881918724975, 0.96365539934190847, 0.95258184119938183,
-       0.94146243872170432},
-      {1.0634609410122278, 0.69383787017648824, 0.64808137762783535,
-       0.60213545400809099},
-      {1.2877901684453081, 0.5937780436733473, 0.5725091738996323,
-       0.55115225138066248},
-  };
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(result.points[i].metrics.bandwidth_ratio, expected[i].bw, 1e-9)
-        << "tp point " << i;
-    EXPECT_NEAR(result.points[i].metrics.server_load_ratio, expected[i].load,
-                1e-9);
-    EXPECT_NEAR(result.points[i].metrics.service_time_ratio, expected[i].time,
-                1e-9);
-    EXPECT_NEAR(result.points[i].metrics.miss_rate_ratio, expected[i].miss,
-                1e-9);
-  }
-}
-
-TEST_F(SweepExperimentsTest, UpdateCycleTableIdenticalUnderIncremental) {
-  // RunExpUpdateCycle exercises every (D, D') combination of the §3.4
-  // stability grid; the rendered tables must agree byte-for-byte across
-  // closure modes.
-  const std::string batch =
-      RunExpUpdateCycle(*workload_, 0.25, {.workers = 2},
-                        spec::ClosureMode::kBatch)
-          .ToTable()
-          .ToAlignedString();
-  const std::string incremental =
-      RunExpUpdateCycle(*workload_, 0.25, {.workers = 2},
-                        spec::ClosureMode::kIncremental)
-          .ToTable()
-          .ToAlignedString();
-  EXPECT_EQ(batch, incremental);
 }
 
 TEST_F(SweepExperimentsTest, GoldenFig3Savings) {
